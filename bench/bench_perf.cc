@@ -15,15 +15,6 @@
  *     (same configuration, same seed); a mismatch means the
  *     simulation leaked host state and fails the binary.
  *
- *  3. --sim-jobs scaling: a 256-context machine (32 cores x 8-way
- *     SMT on an 8x4 mesh) runs under the classic serial loop
- *     (simJobs=0) and the windowed parallel executor at 1, 2, and 4
- *     host workers. The jobs >= 1 runs must agree with each other
- *     exactly (cycles and commits; the executor is jobs-invariant by
- *     construction), and the section reports parallel speedup plus
- *     the single-worker overhead of the windowed executor vs. the
- *     serial loop.
- *
  * Results go to stdout (table) and to BENCH_perf.json (--out=FILE).
  * --quick scales the workloads down for CI smoke runs.
  */
@@ -33,7 +24,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "obs/json.hh"
@@ -162,53 +152,6 @@ calibrateReps(const ExperimentConfig &cfg, bool quick)
     return static_cast<int>(std::clamp(reps, 2.0, 64.0));
 }
 
-// --------------------------------------------------------------------
-// 3. --sim-jobs scaling
-// --------------------------------------------------------------------
-
-struct ScalingPoint
-{
-    uint32_t jobs = 0;          ///< 0 = classic serial loop
-    Cycle simCycles = 0;
-    uint64_t commits = 0;
-    uint64_t aborts = 0;
-    double seconds = 0;
-
-    double cyclesPerSec() const
-    {
-        return seconds > 0
-            ? static_cast<double>(simCycles) / seconds : 0;
-    }
-};
-
-/**
- * The scaling machine: 256 contexts (32 cores x 8-way SMT -- the
- * directory's sharer bit-vector caps cores at 32) on an 8x4 mesh, so
- * every parallel lane owns one core's worth of event traffic and
- * each lookahead window carries real work. The microbench runs with
- * a large counter pool -- this section measures executor scaling,
- * not contention behavior, and a hot pool would make abort backoff
- * (serial in any executor) the bottleneck.
- */
-ExperimentConfig
-scalingConfig(bool quick)
-{
-    ExperimentConfig cfg;
-    cfg.bench = Benchmark::Microbench;
-    cfg.sys.numCores = 32;
-    cfg.sys.threadsPerCore = 8;
-    cfg.sys.meshCols = 8;
-    cfg.sys.meshRows = 4;
-    cfg.sys.l2Banks = 32;
-    cfg.sys.signature = sigBS(2048);
-    cfg.wl.numThreads = cfg.sys.numContexts();
-    cfg.wl.totalUnits = quick ? 4096 : 16384;
-    cfg.mb.numCounters = 8192;
-    cfg.mb.readsPerTx = 4;
-    cfg.mb.writesPerTx = 4;
-    return cfg;
-}
-
 } // namespace
 
 int
@@ -314,83 +257,6 @@ main(int argc, char **argv)
     emitTable(wtable, csv);
     std::printf("geomean simulated cycles/sec: %.0f\n\n", geomean);
 
-    // ---- sim-jobs scaling --------------------------------------------
-    const ExperimentConfig scfg = scalingConfig(quick);
-    const uint32_t jobsAxis[] = {0, 1, 2, 4};
-    std::vector<ScalingPoint> scaling;
-    const int sreps = quick ? 2 : 3;
-    for (const uint32_t jobs : jobsAxis) {
-        ExperimentConfig cfg = scfg;
-        cfg.simJobs = jobs;
-        ScalingPoint p;
-        p.jobs = jobs;
-        p.seconds = 1e300;
-        for (int i = 0; i < sreps; ++i) {
-            const ExperimentResult r = runExperiment(cfg);
-            p.seconds = std::min(p.seconds, r.hostSeconds);
-            p.simCycles = r.cycles;
-            p.commits = r.commits;
-            p.aborts = r.aborts;
-        }
-        scaling.push_back(p);
-    }
-    // The windowed executor must be jobs-invariant: every jobs >= 1
-    // point simulates the identical machine history. (jobs = 0 is the
-    // classic serial loop -- a different, equally valid interleaving.)
-    for (size_t i = 2; i < scaling.size(); ++i) {
-        if (scaling[i].simCycles != scaling[1].simCycles ||
-            scaling[i].commits != scaling[1].commits) {
-            std::fprintf(stderr,
-                         "FATAL: sim-jobs %u diverged from sim-jobs "
-                         "%u (cycles %llu vs %llu, commits %llu vs "
-                         "%llu)\n",
-                         scaling[i].jobs, scaling[1].jobs,
-                         static_cast<unsigned long long>(
-                             scaling[i].simCycles),
-                         static_cast<unsigned long long>(
-                             scaling[1].simCycles),
-                         static_cast<unsigned long long>(
-                             scaling[i].commits),
-                         static_cast<unsigned long long>(
-                             scaling[1].commits));
-            return 1;
-        }
-    }
-    // Cross-executor comparisons normalize by simulated cycles
-    // (cycles/sec ratio): the two schedules simulate slightly
-    // different histories, so raw seconds would compare unequal work.
-    const double serialRate = scaling[0].cyclesPerSec();
-    const double jobs1Rate = scaling[1].cyclesPerSec();
-    Table stable({"SimJobs", "SimCycles", "Aborts", "Seconds",
-                  "Cycles/sec", "Speedup"});
-    for (const ScalingPoint &p : scaling) {
-        stable.addRow({p.jobs == 0 ? "serial"
-                                   : Table::fmt(uint64_t{p.jobs}),
-                       Table::fmt(p.simCycles),
-                       Table::fmt(p.aborts),
-                       Table::fmt(p.seconds, 3),
-                       Table::fmt(p.cyclesPerSec(), 0),
-                       Table::fmt(p.cyclesPerSec() / serialRate, 2)});
-    }
-    const double overhead1 = serialRate / jobs1Rate - 1.0;
-    const unsigned hostCores = std::thread::hardware_concurrency();
-    std::printf("--sim-jobs scaling (%u contexts, %ux%u mesh, "
-                "microbench %llu units, %u host cores):\n",
-                scfg.sys.numContexts(), scfg.sys.meshCols,
-                scfg.sys.meshRows,
-                static_cast<unsigned long long>(scfg.wl.totalUnits),
-                hostCores);
-    emitTable(stable, csv);
-    std::printf("windowed-executor overhead at 1 job: %+.1f%% vs "
-                "serial loop\n",
-                overhead1 * 100.0);
-    if (hostCores < 4) {
-        std::printf("note: %u host core%s -- workers time-slice, so "
-                    "the jobs > 1 rows measure executor overhead, "
-                    "not parallel speedup\n",
-                    hostCores, hostCores == 1 ? "" : "s");
-    }
-
     // ---- BENCH_perf.json ---------------------------------------------
     std::ofstream os(out);
     if (!os) {
@@ -419,31 +285,6 @@ main(int argc, char **argv)
     }
     w.endArray();
     w.field("geomean_cycles_per_sec", geomean);
-    w.key("sim_jobs_scaling");
-    w.beginObject();
-    w.field("host_cores", uint64_t{hostCores});
-    w.field("contexts", uint64_t{scfg.sys.numContexts()});
-    w.field("mesh_cols", uint64_t{scfg.sys.meshCols});
-    w.field("mesh_rows", uint64_t{scfg.sys.meshRows});
-    w.field("bench", std::string("microbench"));
-    w.field("units", scfg.wl.totalUnits);
-    w.key("points");
-    w.beginArray();
-    for (const ScalingPoint &p : scaling) {
-        w.beginObject();
-        w.field("sim_jobs", uint64_t{p.jobs});
-        w.field("sim_cycles", static_cast<uint64_t>(p.simCycles));
-        w.field("commits", p.commits);
-        w.field("seconds", p.seconds);
-        w.field("cycles_per_sec", p.cyclesPerSec());
-        w.field("speedup_vs_serial", p.cyclesPerSec() / serialRate);
-        w.endObject();
-    }
-    w.endArray();
-    w.field("jobs1_overhead_vs_serial", overhead1);
-    w.field("speedup_jobs4_vs_serial",
-            scaling.back().cyclesPerSec() / serialRate);
-    w.endObject();
     w.endObject();
     os << "\n";
     std::printf("wrote %s\n", out.c_str());

@@ -5,73 +5,10 @@
 
 namespace logtm {
 
-namespace {
-
-thread_local uint32_t tlsStatShard = statsSerialShard;
-
-} // namespace
-
-void
-statsSetThreadShard(uint32_t shard)
-{
-    tlsStatShard = shard;
-}
-
-uint32_t
-statsThreadShard()
-{
-    return tlsStatShard;
-}
-
 double
 Sampler::stddev() const
 {
     return std::sqrt(variance());
-}
-
-void
-Sampler::combine(const Sampler &o)
-{
-    if (o.count_ == 0)
-        return;
-    if (count_ == 0) {
-        count_ = o.count_;
-        sum_ = o.sum_;
-        min_ = o.min_;
-        max_ = o.max_;
-        mean_ = o.mean_;
-        m2_ = o.m2_;
-        return;
-    }
-    if (o.min_ < min_)
-        min_ = o.min_;
-    if (o.max_ > max_)
-        max_ = o.max_;
-    sum_ += o.sum_;
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(o.count_);
-    const double n = na + nb;
-    const double delta = o.mean_ - mean_;
-    m2_ += o.m2_ + delta * delta * (na * nb / n);
-    mean_ += delta * (nb / n);
-    count_ += o.count_;
-}
-
-Sampler
-Sampler::merged() const
-{
-    Sampler m;
-    m.count_ = count_;
-    m.sum_ = sum_;
-    m.min_ = min_;
-    m.max_ = max_;
-    m.mean_ = mean_;
-    m.m2_ = m2_;
-    if (shards_) {
-        for (const Sampler &s : *shards_)
-            m.combine(s);
-    }
-    return m;
 }
 
 double
@@ -116,60 +53,27 @@ Histogram::percentile(double p) const
     return scalar_.max();
 }
 
-void
-StatsRegistry::setParallel(uint32_t shards)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    parShards_ = shards;
-    for (auto &kv : counters_)
-        kv.second.setParallel();
-    for (auto &kv : samplers_)
-        kv.second.setParallelShards(shards);
-    for (auto &kv : histograms_)
-        kv.second.setParallel(shards);
-}
-
 Counter &
 StatsRegistry::counter(const std::string &name)
 {
-    if (parShards_ == 0)
-        return counters_[name];
-    std::lock_guard<std::mutex> lock(mu_);
-    Counter &c = counters_[name];
-    c.setParallel();
-    return c;
+    return counters_[name];
 }
 
 Sampler &
 StatsRegistry::sampler(const std::string &name)
 {
-    if (parShards_ == 0)
-        return samplers_[name];
-    std::lock_guard<std::mutex> lock(mu_);
-    Sampler &s = samplers_[name];
-    s.setParallelShards(parShards_);
-    return s;
+    return samplers_[name];
 }
 
 Histogram &
 StatsRegistry::histogram(const std::string &name)
 {
-    if (parShards_ == 0)
-        return histograms_[name];
-    std::lock_guard<std::mutex> lock(mu_);
-    Histogram &h = histograms_[name];
-    h.setParallel(parShards_);
-    return h;
+    return histograms_[name];
 }
 
 uint64_t
 StatsRegistry::counterValue(const std::string &name) const
 {
-    if (parShards_ != 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second.value();
-    }
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.value();
 }

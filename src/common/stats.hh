@@ -8,72 +8,26 @@
 #ifndef LOGTM_COMMON_STATS_HH
 #define LOGTM_COMMON_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
 
 namespace logtm {
 
-/**
- * PDES shard binding for the calling thread (common/stats.cc holds
- * the thread_local). Lane workers bind their lane index around each
- * window; serial contexts stay on statsSerialShard, which routes to
- * the statistic's own primary storage.
- */
-inline constexpr uint32_t statsSerialShard = ~0u;
-void statsSetThreadShard(uint32_t shard);
-uint32_t statsThreadShard();
-
-/**
- * A monotonically increasing event counter.
- *
- * In parallel (PDES) mode bumps become relaxed atomic RMWs — counter
- * sums are commutative integers, so any interleaving yields the same
- * final value. Classic runs keep the plain increment behind one
- * predictable branch. Reads are plain: they only happen in serial
- * phases, which the window barriers order against every bump.
- */
+/** A monotonically increasing event counter. */
 class Counter
 {
   public:
-    void
-    operator++()
-    {
-        if (par_) [[unlikely]]
-            atomicBump(1);
-        else
-            ++value_;
-    }
-    void operator++(int) { operator++(); }
-    void
-    add(uint64_t n)
-    {
-        if (par_) [[unlikely]]
-            atomicBump(n);
-        else
-            value_ += n;
-    }
+    void operator++() { ++value_; }
+    void operator++(int) { ++value_; }
+    void add(uint64_t n) { value_ += n; }
     void reset() { value_ = 0; }
     uint64_t value() const { return value_; }
 
-    /** Switch bumps to relaxed atomics (StatsRegistry::setParallel). */
-    void setParallel() { par_ = true; }
-
   private:
-    void
-    atomicBump(uint64_t n)
-    {
-        std::atomic_ref<uint64_t>(value_).fetch_add(
-            n, std::memory_order_relaxed);
-    }
-
     uint64_t value_ = 0;
-    bool par_ = false;
 };
 
 /**
@@ -88,95 +42,6 @@ class Sampler
     void
     sample(double v)
     {
-        if (shards_) [[unlikely]] {
-            const uint32_t s = statsThreadShard();
-            if (s != statsSerialShard) {
-                // Welford is order-dependent in floating point, so
-                // parallel samples accumulate per-lane and merge in
-                // lane-index order (Chan's formula) on read: the
-                // result is a function of the per-lane streams, never
-                // of the host interleaving.
-                (*shards_)[s].sampleCore(v);
-                return;
-            }
-        }
-        sampleCore(v);
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0;
-        min_ = 0;
-        max_ = 0;
-        mean_ = 0;
-        m2_ = 0;
-        if (shards_) {
-            for (Sampler &s : *shards_)
-                s.reset();
-        }
-    }
-
-    uint64_t count() const { return shards_ ? merged().count_ : count_; }
-    double sum() const { return shards_ ? merged().sum_ : sum_; }
-    double
-    min() const
-    {
-        if (shards_) {
-            const Sampler m = merged();
-            return m.count_ ? m.min_ : 0.0;
-        }
-        return count_ ? min_ : 0.0;
-    }
-    double
-    max() const
-    {
-        if (shards_) {
-            const Sampler m = merged();
-            return m.count_ ? m.max_ : 0.0;
-        }
-        return count_ ? max_ : 0.0;
-    }
-    double
-    mean() const
-    {
-        if (shards_) {
-            const Sampler m = merged();
-            return m.count_ ? m.mean_ : 0.0;
-        }
-        return count_ ? mean_ : 0.0;
-    }
-
-    /** Population variance of the samples seen so far. */
-    double
-    variance() const
-    {
-        if (shards_) {
-            const Sampler m = merged();
-            return m.count_ ? m.m2_ / static_cast<double>(m.count_)
-                            : 0.0;
-        }
-        return count_ ? m2_ / static_cast<double>(count_) : 0.0;
-    }
-
-    /** Population standard deviation. */
-    double stddev() const;
-
-    /** Allocate @p n per-lane shards (StatsRegistry::setParallel);
-     *  serial-context samples keep landing on the primary fields. */
-    void
-    setParallelShards(uint32_t n)
-    {
-        if (!shards_)
-            shards_ = std::make_unique<std::vector<Sampler>>(n);
-    }
-
-  private:
-    /** The classic single-stream update. */
-    void
-    sampleCore(double v)
-    {
         if (count_ == 0 || v < min_)
             min_ = v;
         if (count_ == 0 || v > max_)
@@ -188,21 +53,40 @@ class Sampler
         m2_ += delta * (v - mean_);
     }
 
-    /** Fold @p o into this (Chan et al. pairwise combination). */
-    void combine(const Sampler &o);
+    void
+    reset()
+    {
+        count_ = 0;
+        sum_ = 0;
+        min_ = 0;
+        max_ = 0;
+        mean_ = 0;
+        m2_ = 0;
+    }
 
-    /** Primary fields + every shard, combined in shard-index order. */
-    Sampler merged() const;
+    uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+    double min() const { return count_ ? min_ : 0.0; }
+    double max() const { return count_ ? max_ : 0.0; }
+    double mean() const { return count_ ? mean_ : 0.0; }
 
+    /** Population variance of the samples seen so far. */
+    double
+    variance() const
+    {
+        return count_ ? m2_ / static_cast<double>(count_) : 0.0;
+    }
+
+    /** Population standard deviation. */
+    double stddev() const;
+
+  private:
     uint64_t count_ = 0;
     double sum_ = 0;
     double min_ = 0;
     double max_ = 0;
     double mean_ = 0;
     double m2_ = 0;   ///< Welford running sum of squared deviations
-    /** Per-lane sub-samplers (parallel mode only; the nested
-     *  samplers never have shards themselves). */
-    std::unique_ptr<std::vector<Sampler>> shards_;
 };
 
 /** Power-of-two-bucketed histogram for latency / size distributions. */
@@ -214,21 +98,8 @@ class Histogram
     void
     sample(uint64_t v)
     {
-        if (par_) [[unlikely]] {
-            std::atomic_ref<uint64_t>(buckets_[bucketOf(v)])
-                .fetch_add(1, std::memory_order_relaxed);
-        } else {
-            ++buckets_[bucketOf(v)];
-        }
+        ++buckets_[bucketOf(v)];
         scalar_.sample(static_cast<double>(v));
-    }
-
-    /** Parallel mode: atomic bucket bumps + sharded scalar. */
-    void
-    setParallel(uint32_t shards)
-    {
-        par_ = true;
-        scalar_.setParallelShards(shards);
     }
 
     /** Number of samples with value in [2^i, 2^(i+1)) (bucket 0: {0,1}). */
@@ -266,7 +137,6 @@ class Histogram
 
     std::vector<uint64_t> buckets_;
     Sampler scalar_;
-    bool par_ = false;
 };
 
 /**
@@ -280,17 +150,6 @@ class StatsRegistry
     Counter &counter(const std::string &name);
     Sampler &sampler(const std::string &name);
     Histogram &histogram(const std::string &name);
-
-    /**
-     * Enter parallel (PDES) mode with @p shards lanes: every
-     * registered statistic (and any registered later — some abort
-     * and hybrid counters are created lazily mid-run) switches to
-     * its thread-safe form, and name lookups are serialized on a
-     * mutex. std::map nodes are stable, so references handed out
-     * before or after stay valid. Irreversible for the registry's
-     * lifetime; never called on the classic path.
-     */
-    void setParallel(uint32_t shards);
 
     /** Value of a counter, 0 if absent. */
     uint64_t counterValue(const std::string &name) const;
@@ -315,10 +174,6 @@ class StatsRegistry
     std::map<std::string, Counter> counters_;
     std::map<std::string, Sampler> samplers_;
     std::map<std::string, Histogram> histograms_;
-    /** 0 = classic (lock-free, single-threaded) registry. */
-    uint32_t parShards_ = 0;
-    /** Guards map structure in parallel mode only. */
-    mutable std::mutex mu_;
 };
 
 } // namespace logtm

@@ -5,7 +5,6 @@
 
 #include "check/oracle.hh"
 #include "common/log.hh"
-#include "harness/parallel.hh"
 #include "pm/recovery.hh"
 #include "workload/berkeleydb.hh"
 #include "workload/cholesky.hh"
@@ -133,14 +132,6 @@ ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
     TmSystem sys(cfg.sys);
-
-    // Opt-in parallel simulator core (--sim-jobs). Wired before any
-    // event is scheduled; ineligible configurations silently keep the
-    // classic serial loop, so a jobs sweep over a mixed campaign is
-    // always safe (every config either parallelizes deterministically
-    // or runs exactly the seed's path).
-    if (cfg.simJobs > 0 && simParallelEligible(cfg))
-        enableSimParallel(sys, cfg.simJobs);
 
     // Durability runs carry the full oracle so the recovered image
     // can be checked against the committed prefix; hybrid runs carry

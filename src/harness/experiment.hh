@@ -90,17 +90,6 @@ struct ExperimentConfig
     /** Plant the skip-subscribe hybrid defect (docs/HYBRID.md);
      *  hybrid runs only. */
     bool skipSubscribeDefect = false;
-
-    /**
-     * Host worker threads for the simulator core (--sim-jobs).
-     * 0 = classic serial loop (the default). >=1 = the windowed
-     * parallel executor when the configuration is eligible
-     * (harness/parallel.hh) — with results byte-identical at every
-     * value, 1 included — and the classic loop otherwise. A host
-     * execution knob like `cancel`: never part of the simulated
-     * configuration, excluded from canonical keys and hashes.
-     */
-    uint32_t simJobs = 0;
 };
 
 struct ExperimentResult

@@ -1,7 +1,6 @@
 #include "harness/trace_capture.hh"
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "obs/recording_sink.hh"
 #include "os/tm_system.hh"
 
@@ -22,16 +21,6 @@ captureRunEvents(const TraceCaptureOptions &opt)
     p.useTm = true;
     p.totalUnits = opt.totalUnits;
     p.seed = opt.seed;
-
-    if (opt.simJobs > 0) {
-        // Same gate as runExperiment: ineligible engines (lazy) keep
-        // the classic loop, so their goldens never fork by jobs.
-        ExperimentConfig ec;
-        ec.sys = scfg;
-        ec.wl = p;
-        if (simParallelEligible(ec))
-            enableSimParallel(sys, opt.simJobs);
-    }
     auto wl = makeWorkload(Benchmark::BerkeleyDB, sys, p);
     wl->run();
     sys.sim().events().detach(&ring);

@@ -36,11 +36,6 @@ struct TraceCaptureOptions
      *  byte-for-byte. Non-default engines pin their own baselines
      *  (baselines/golden_trace_<engine>.json). */
     TmEngineKind engine = TmEngineKind::LogTmSe;
-    /** Host workers for the simulator core (harness/parallel.hh).
-     *  0 = classic serial loop (the committed golden baselines).
-     *  >=1 = the windowed parallel executor, whose event stream is
-     *  identical at every jobs value (tests/test_sim_parallel.cc). */
-    uint32_t simJobs = 0;
 };
 
 /** Run the capture configuration and return its full event stream in

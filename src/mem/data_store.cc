@@ -4,36 +4,13 @@
 
 namespace logtm {
 
-DataStore::~DataStore()
-{
-    for (Page *p : dense_)
-        delete p;
-}
-
-void
-DataStore::setParSafe()
-{
-    // Full-capacity table: lane accesses index it concurrently and
-    // must never race a resize. 1<<16 null pointers is half a MiB —
-    // cheap, and only paid by runs that opted into PDES.
-    dense_.resize(densePageLimit, nullptr);
-    parSafe_ = true;
-}
-
 const DataStore::Page *
 DataStore::findPage(uint64_t page_num) const
 {
     if (page_num < densePageLimit) {
         if (page_num >= dense_.size())
             return nullptr;
-        if (parSafe_) {
-            // atomic_ref over const isn't available until C++26;
-            // the cast only relaxes constness for the atomic load.
-            return std::atomic_ref<Page *>(
-                       const_cast<Page *&>(dense_[page_num]))
-                .load(std::memory_order_acquire);
-        }
-        return dense_[page_num];
+        return dense_[page_num].get();
     }
     auto it = sparse_.find(page_num);
     return it == sparse_.end() ? nullptr : it->second.get();
@@ -43,35 +20,13 @@ DataStore::Page &
 DataStore::getPage(uint64_t page_num)
 {
     if (page_num < densePageLimit) {
-        if (parSafe_) {
-            // Table is pre-sized; install the page with a CAS so two
-            // lanes first-touching it agree on one instance.
-            Page *&slot = dense_[page_num];
-            std::atomic_ref<Page *> ref(slot);
-            Page *p = ref.load(std::memory_order_acquire);
-            if (!p) {
-                Page *fresh = new Page();
-                if (ref.compare_exchange_strong(
-                        p, fresh, std::memory_order_acq_rel)) {
-                    p = fresh;
-                } else {
-                    delete fresh;
-                }
-            }
-            return *p;
-        }
         if (page_num >= dense_.size())
-            dense_.resize(page_num + 1, nullptr);
-        Page *&slot = dense_[page_num];
+            dense_.resize(page_num + 1);
+        auto &slot = dense_[page_num];
         if (!slot)
-            slot = new Page();
+            slot = std::make_unique<Page>();
         return *slot;
     }
-    // Sparse pages only exist beyond ~256 MiB of simulated physical
-    // memory; no PDES-eligible configuration reaches them, so the
-    // map mutation below never races.
-    logtm_assert(!parSafe_ || sparse_.count(page_num),
-                 "sparse-page first touch in parallel-safe mode");
     auto &slot = sparse_[page_num];
     if (!slot)
         slot = std::make_unique<Page>();

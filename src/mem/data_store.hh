@@ -25,7 +25,6 @@
 #define LOGTM_MEM_DATA_STORE_HH
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,22 +47,8 @@ class DataStore
     static constexpr uint64_t densePageLimit = 1ull << 16;
 
     DataStore() = default;
-    ~DataStore();
     DataStore(const DataStore &) = delete;
     DataStore &operator=(const DataStore &) = delete;
-
-    /**
-     * PDES mode: pre-size the dense page table to its full capacity
-     * (so concurrent lane accesses never race a resize) and switch
-     * store() to the lock-free path — CAS page install, atomic
-     * fetch_or on the written-word bitmap, atomic footprint bumps.
-     * Word *values* stay plain: the coherence protocol guarantees a
-     * single writer per word within a window, and the atomic
-     * counters are commutative, so results are independent of both
-     * the host interleaving and --sim-jobs. Classic runs never
-     * enable this and keep the zero-overhead path.
-     */
-    void setParSafe();
 
     /** Read the 8-byte word at @p addr (must be 8-byte aligned).
      *  Words never written read as 0. */
@@ -86,18 +71,6 @@ class DataStore
         const uint64_t w = wordIndex(addr);
         page.words[w] = value;
         const uint64_t mask = 1ull << (w & 63);
-        if (parSafe_) {
-            std::atomic_ref<uint64_t> bits(page.written[w >> 6]);
-            const uint64_t old =
-                bits.fetch_or(mask, std::memory_order_relaxed);
-            if (!(old & mask)) {
-                std::atomic_ref<uint32_t>(page.populated)
-                    .fetch_add(1, std::memory_order_relaxed);
-                std::atomic_ref<size_t>(footprint_)
-                    .fetch_add(1, std::memory_order_relaxed);
-            }
-            return;
-        }
         uint64_t &bits = page.written[w >> 6];
         if (!(bits & mask)) {
             bits |= mask;
@@ -142,14 +115,11 @@ class DataStore
     const Page *findPage(uint64_t page_num) const;
     Page &getPage(uint64_t page_num);
 
-    /** Direct-mapped table for page numbers < densePageLimit. Raw
-     *  pointers (owned; freed in the destructor) so the parSafe path
-     *  can install with a bare CAS through std::atomic_ref. */
-    std::vector<Page *> dense_;
+    /** Direct-mapped table for page numbers < densePageLimit. */
+    std::vector<std::unique_ptr<Page>> dense_;
     /** Fallback for sparse high physical pages. */
     std::unordered_map<uint64_t, std::unique_ptr<Page>> sparse_;
     size_t footprint_ = 0;
-    bool parSafe_ = false;
 };
 
 } // namespace logtm

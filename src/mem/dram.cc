@@ -1,7 +1,5 @@
 #include "mem/dram.hh"
 
-#include "sim/pdes.hh"
-
 namespace logtm {
 
 Dram::Dram(EventQueue &queue, StatsRegistry &stats,
@@ -14,20 +12,6 @@ Dram::Dram(EventQueue &queue, StatsRegistry &stats,
 void
 Dram::access(BankId bank, std::function<void()> done)
 {
-    if (PdesExec *px = queue_.pdes();
-        px && px->inParallelPhase()) {
-        // Controllers are shared across banks (bank % controllers),
-        // so two lanes could race on a controller's nextFree_ slot.
-        // Defer the whole access to the global phase, where this
-        // method re-runs serially in canonical (tick, lane, order)
-        // sequence; the completion then fires on the global lane
-        // while every lane is parked.
-        px->postGlobal(queue_.now(), EventPriority::Protocol,
-                       [this, bank, d = std::move(done)]() mutable {
-                           access(bank, std::move(d));
-                       });
-        return;
-    }
     ++accesses_;
     const uint32_t ctrl = bank % nextFree_.size();
     Cycle start = queue_.now();

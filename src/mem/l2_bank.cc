@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/trace.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
 
@@ -497,19 +496,10 @@ L2Bank::evictLine(Array::Line &line)
         if (entry.owner != invalidCore)
             targets |= bit(entry.owner);
         bool tx_victim = false;
-        // Under PDES, evictions only ever run in the global phase
-        // (they sit behind the deferred DRAM fetch), so the signature
-        // probe below is serial. If a future path ever evicts from a
-        // lane, assume the worst rather than read another lane's
-        // signatures mid-window — sticky states make the conservative
-        // answer safe (paper §5), and the phase flag is identical at
-        // every --sim-jobs, so determinism holds.
-        const PdesExec *px = queue_.pdes();
-        const bool probe_ok = !px || !px->inParallelPhase();
         for (CoreId c = 0; c < cfg_.numCores; ++c) {
             if (!(targets & bit(c)))
                 continue;
-            if (!probe_ok || checker_->inAnyLocalSig(c, line.block))
+            if (checker_->inAnyLocalSig(c, line.block))
                 tx_victim = true;
             // Inclusion: force the L1 copies out (no NACK possible).
             Msg finv;

@@ -1,6 +1,6 @@
 #include "net/mesh.hh"
 
-#include <algorithm>
+#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -71,37 +71,6 @@ Mesh::hops(NodeId a, NodeId b) const
     return static_cast<uint32_t>(std::abs(ax - bx) + std::abs(ay - by));
 }
 
-Cycle
-Mesh::minCrossTileLatency() const
-{
-    Cycle best = 0;
-    bool found = false;
-    for (NodeId s = 0; s < numNodes_; ++s) {
-        for (NodeId d = 0; d < numNodes_; ++d) {
-            if (tileOf(s) == tileOf(d))
-                continue;
-            const Cycle lat =
-                latencyTable_[static_cast<size_t>(s) * numNodes_ + d];
-            if (!found || lat < best) {
-                best = lat;
-                found = true;
-            }
-        }
-    }
-    return found ? best : 0;
-}
-
-void
-Mesh::enablePdes(PdesExec *px)
-{
-    px_ = px;
-    laneOf_.resize(numNodes_);
-    for (NodeId n = 0; n < numNodes_; ++n)
-        laneOf_[n] = px->laneOfTile(tileOf(n));
-    outboxes_ = std::vector<Outbox>(px->lanes());
-    px->addBarrierHook([this]() { drainPdesOutboxes(); });
-}
-
 void
 Mesh::send(Msg msg)
 {
@@ -121,49 +90,6 @@ Mesh::send(Msg msg)
     if (delayHook_)
         arrival += delayHook_(msg);
 
-    if (px_ && px_->inParallelPhase()) {
-        const uint32_t srcLane = PdesExec::currentLane();
-        const uint32_t dstLane = laneOf_[msg.dst];
-        if (dstLane == srcLane) {
-            // Lane-local traffic: the lane exclusively owns every
-            // same-tile endpoint's serialization slot, so the classic
-            // inline path is safe (queue_ routes to the lane queue).
-            if (arrival <= nextFree_[msg.dst])
-                arrival = nextFree_[msg.dst] + 1;
-            nextFree_[msg.dst] = arrival;
-            Handler &handler = handlers_[msg.dst];
-            queue_.schedule(arrival,
-                            [&handler, msg]() { handler(msg); },
-                            EventPriority::Protocol);
-            return;
-        }
-        // Cross-lane: cannot touch the destination's queue or its
-        // nextFree_ slot mid-window. Buffer the candidate arrival;
-        // cross-tile latency >= the lookahead guarantees it lands at
-        // or past the window boundary, so deferring to the barrier
-        // drain loses nothing.
-        outboxes_[srcLane].items.emplace_back(arrival, msg);
-        return;
-    }
-
-    // Serial path: the classic executor, or the PDES global phase
-    // (lanes parked — exclusive access to all serialization state).
-    if (px_) {
-        // Destination lanes have already stepped to the window end;
-        // clamp so the delivery never lands in the lane's past. The
-        // clamp depends only on the (deterministic) window sequence.
-        if (arrival < px_->windowEnd())
-            arrival = px_->windowEnd();
-        if (arrival <= nextFree_[msg.dst])
-            arrival = nextFree_[msg.dst] + 1;
-        nextFree_[msg.dst] = arrival;
-        Handler &handler = handlers_[msg.dst];
-        px_->scheduleLane(laneOf_[msg.dst], arrival,
-                          EventPriority::Protocol,
-                          [&handler, msg]() { handler(msg); });
-        return;
-    }
-
     // One message per cycle per endpoint: serialize arrivals.
     if (arrival <= nextFree_[msg.dst])
         arrival = nextFree_[msg.dst] + 1;
@@ -172,46 +98,6 @@ Mesh::send(Msg msg)
     Handler &handler = handlers_[msg.dst];
     queue_.schedule(arrival, [&handler, msg]() { handler(msg); },
                     EventPriority::Protocol);
-}
-
-void
-Mesh::drainPdesOutboxes()
-{
-    // Canonical merge: concatenate per-lane outboxes in lane order
-    // (preserving each lane's send order), stable-sort by candidate
-    // arrival, then apply the per-endpoint serialization in that
-    // order. Every key is independent of the host interleaving, so
-    // the delivery schedule is identical at any --sim-jobs.
-    drainScratch_.clear();
-    uint32_t seq = 0;
-    for (Outbox &ob : outboxes_)
-        for (const auto &it : ob.items)
-            drainScratch_.push_back({it.first, seq++, &it.second});
-    if (drainScratch_.empty())
-        return;
-    // Plain sort keyed (arrival, concatenation order) — equivalent
-    // to a stable sort by arrival, without stable_sort's per-call
-    // merge-buffer allocation, which showed up hot when this runs
-    // every window.
-    std::sort(drainScratch_.begin(), drainScratch_.end(),
-              [](const DrainItem &a, const DrainItem &b) {
-                  return a.cand != b.cand ? a.cand < b.cand
-                                          : a.seq < b.seq;
-              });
-    for (const auto &[cand, n, msgp] : drainScratch_) {
-        const Msg msg = *msgp;
-        Cycle arrival = cand;
-        if (arrival <= nextFree_[msg.dst])
-            arrival = nextFree_[msg.dst] + 1;
-        nextFree_[msg.dst] = arrival;
-        Handler &handler = handlers_[msg.dst];
-        px_->scheduleLane(laneOf_[msg.dst], arrival,
-                          EventPriority::Protocol,
-                          [&handler, msg]() { handler(msg); });
-    }
-    for (Outbox &ob : outboxes_)
-        ob.items.clear();
-    drainScratch_.clear();
 }
 
 } // namespace logtm

@@ -20,7 +20,6 @@
 #include "common/stats.hh"
 #include "net/message.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
 
@@ -56,35 +55,11 @@ class Mesh
     /** Chip an endpoint belongs to (paper §7 multi-CMP model). */
     uint32_t chipOf(NodeId n) const;
 
-    /** Tile an endpoint sits on — the PDES lane-partition unit (a
-     *  core and its same-numbered bank share a tile, hence a lane). */
+    /** Tile an endpoint sits on (a core and its same-numbered bank
+     *  share a tile). */
     uint32_t tileOf(NodeId n) const;
 
-    /**
-     * Minimum delivery latency between endpoints on *different* tiles
-     * — the PDES lookahead: within a window of this width no lane can
-     * affect another, so lanes may step concurrently. Same-tile
-     * traffic (latency routerOverhead alone) stays lane-local and
-     * does not bound the window. Returns 0 when every endpoint shares
-     * one tile (no cross-lane traffic exists; PDES is ineligible).
-     */
-    Cycle minCrossTileLatency() const;
-
-    /**
-     * Attach to a windowed parallel executor. Sends made on a lane to
-     * a same-lane endpoint run inline (the lane owns that endpoint's
-     * serialization state); cross-lane sends buffer their candidate
-     * arrival into a per-lane outbox that the registered barrier hook
-     * drains in canonical (arrival, lane, send-order) order, applying
-     * the one-message-per-cycle endpoint serialization in that order.
-     * Sends from the global phase clamp to the window boundary so the
-     * destination lane never sees an event in its past.
-     */
-    void enablePdes(PdesExec *px);
-
   private:
-    void drainPdesOutboxes();
-
     EventQueue &queue_;
     Counter &msgCount_;
     Counter &hopCount_;
@@ -104,27 +79,6 @@ class Mesh
      *  construction so send() does no division. */
     std::vector<uint32_t> hopTable_;
     std::vector<Cycle> latencyTable_;
-
-    // -- PDES state (null / empty on classic runs) --
-    PdesExec *px_ = nullptr;
-    /** Endpoint -> home lane (PdesExec::laneOfTile of its tile). */
-    std::vector<uint32_t> laneOf_;
-    /** Cross-lane sends buffered during the parallel phase;
-     *  cacheline-separated so lanes never share a line. */
-    struct alignas(64) Outbox
-    {
-        std::vector<std::pair<Cycle, Msg>> items;
-    };
-    std::vector<Outbox> outboxes_;
-    /** Scratch for the canonical outbox drain (reused per window);
-     *  seq is the lane-concatenation order, the sort tiebreak. */
-    struct DrainItem
-    {
-        Cycle cand;
-        uint32_t seq;
-        const Msg *msg;
-    };
-    std::vector<DrainItem> drainScratch_;
 };
 
 } // namespace logtm

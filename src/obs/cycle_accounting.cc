@@ -43,10 +43,7 @@ CycleAccounting::init(uint32_t num_contexts, Cycle now)
         cs.phaseStart = now;
     // Pre-size the per-thread frame stacks: workloads assert
     // numThreads <= numContexts and ThreadIds are dense from 0, so
-    // framesFor() never grows the outer vector mid-run. That matters
-    // under the parallel executor, where lanes touch their own
-    // threads' stacks concurrently and an outer reallocation would
-    // move every stack out from under them.
+    // framesFor() never grows the outer vector mid-run.
     threadFrames_.assign(num_contexts, {});
     epoch_ = now;
     elapsed_ = 0;

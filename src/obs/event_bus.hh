@@ -11,7 +11,6 @@
 #define LOGTM_OBS_EVENT_BUS_HH
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "obs/event.hh"
@@ -49,30 +48,10 @@ class EventBus
     void
     publish(const ObsEvent &ev)
     {
-        // PDES: events emitted on a lane worker are buffered by the
-        // interceptor and re-delivered at the window barrier in
-        // canonical (tick, lane, emission) order via publishDirect —
-        // sinks are single-threaded maps/vectors and must only ever
-        // run on the coordinator.
-        if (interceptor_ && interceptor_(ev))
-            return;
-        publishDirect(ev);
-    }
-
-    /** Deliver to the sinks unconditionally (the canonical-drain
-     *  sink path; also the whole path on classic runs). */
-    void
-    publishDirect(const ObsEvent &ev)
-    {
         ++published_;
         for (EventSink *s : sinks_)
             s->onEvent(ev);
     }
-
-    /** Install the parallel-phase diverter; returns true when it
-     *  consumed (buffered) the event. */
-    void setInterceptor(std::function<bool(const ObsEvent &)> fn)
-    { interceptor_ = std::move(fn); }
 
     /** Events delivered since construction (0 with no sink ever
      *  attached: publish sites are guarded by enabled()). */
@@ -80,7 +59,6 @@ class EventBus
 
   private:
     std::vector<EventSink *> sinks_;
-    std::function<bool(const ObsEvent &)> interceptor_;
     uint64_t published_ = 0;
 };
 

@@ -186,6 +186,41 @@ exportChromeTrace(const std::vector<ObsEvent> &events,
             instant(w, "chk.violation", ev.cycle, pidContexts,
                     ev.ctx == invalidCtx ? 0 : ev.ctx, "chk");
             break;
+          case EventKind::PmFlush:
+            // Persist-domain flush: one thread's records, or the
+            // whole-domain sweep (no thread) at a crash/drain point.
+            eventHeader(w, "pm.flush", "i", ev.cycle, pidMemory, 0);
+            w.field("s", "t").field("cat", "pm");
+            w.key("args").beginObject()
+                .field("thread", uint64_t{ev.thread})
+                .field("records", ev.a)
+                .field("seq", ev.b)
+                .endObject().endObject();
+            break;
+          case EventKind::HyEscalation:
+            // Hybrid events name a thread, not a context; they land
+            // on track 0 like oracle violations.
+            eventHeader(w, "hy.escalation", "i", ev.cycle, pidContexts,
+                        ev.ctx == invalidCtx ? 0 : ev.ctx);
+            w.field("s", "t").field("cat", "hybrid");
+            w.key("args").beginObject()
+                .field("thread", uint64_t{ev.thread})
+                .field("hwAttempts", ev.a)
+                .field("lastCause",
+                       abortCauseName(static_cast<uint8_t>(ev.b)))
+                .endObject().endObject();
+            break;
+          case EventKind::HyFallbackLock:
+            eventHeader(w,
+                        ev.a == 1 ? "hy.fallbackLock.acquire"
+                                  : "hy.fallbackLock.release",
+                        "i", ev.cycle, pidContexts,
+                        ev.ctx == invalidCtx ? 0 : ev.ctx);
+            w.field("s", "t").field("cat", "hybrid");
+            w.key("args").beginObject()
+                .field("thread", uint64_t{ev.thread})
+                .endObject().endObject();
+            break;
           case EventKind::LogWrite:
           case EventKind::LogFilterHit:
           case EventKind::SummaryInstall:

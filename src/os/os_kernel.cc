@@ -4,7 +4,6 @@
 #include "common/trace.hh"
 #include "sig/sig_fast_path.hh"
 #include "sig/signature_factory.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
 
@@ -116,11 +115,7 @@ bool
 OsKernel::preemptionPoint(ThreadId t, std::function<void()> resume)
 {
     // Size probe before the erase: this runs at every operation
-    // boundary, which under PDES means concurrently on every lane.
-    // Preemptions only exist in fault-injection runs (PDES-ineligible
-    // and serial), so the set is empty on all parallel runs — but an
-    // unconditional erase would still be a library call on a shared
-    // container from many threads, which is formally a data race.
+    // boundary, and preemptions only exist in fault-injection runs.
     if (!preemptPending_.empty() && preemptPending_.erase(t) &&
         engine_.thread(t).ctx != invalidCtx) {
         descheduleThread(t);
@@ -239,38 +234,7 @@ OsKernel::onCommitAfterMigration(ThreadId t)
 PhysAddr
 OsKernel::translate(Asid asid, VirtAddr va)
 {
-    PageTable &pt = *processes_[asid]->pageTable;
-    if (PdesExec *px = sim_.queue().pdes();
-        px && px->inParallelPhase()) {
-        // Lane context: the TLB fill and the demand allocation both
-        // mutate state shared by every thread of the process; take
-        // the read-only probe instead. issueOp guarantees the page
-        // is mapped by the time any lane translates it (unmapped
-        // first touches are deferred through tryTranslate).
-        PhysAddr pa = 0;
-        const bool mapped = pt.tryTranslate(va, pa);
-        logtm_assert(mapped, "lane translation of unmapped page");
-        return pa;
-    }
-    return pt.translate(va);
-}
-
-bool
-OsKernel::tryTranslate(Asid asid, VirtAddr va, PhysAddr &pa)
-{
-    PageTable &pt = *processes_[asid]->pageTable;
-    if (PdesExec *px = sim_.queue().pdes();
-        px && px->inParallelPhase()) {
-        return pt.tryTranslate(va, pa);
-    }
-    pa = pt.translate(va);
-    return true;
-}
-
-void
-OsKernel::touchPage(Asid asid, VirtAddr va)
-{
-    processes_[asid]->pageTable->translate(va);
+    return processes_[asid]->pageTable->translate(va);
 }
 
 namespace {

@@ -73,20 +73,8 @@ class OsKernel : public AddressTranslator
     // ----- paging -------------------------------------------------------
 
     /** AddressTranslator: demand-paged translation through the
-     *  process page table. During a PDES parallel phase this takes
-     *  the side-effect-free probe path (no TLB fill, no allocation),
-     *  so concurrent lanes only ever read the table. */
+     *  process page table. */
     PhysAddr translate(Asid asid, VirtAddr va) override;
-
-    /** AddressTranslator: false when @p va is unmapped and we are in
-     *  a PDES parallel phase (the engine defers to touchPage);
-     *  otherwise translates — allocating on first touch — and
-     *  succeeds. */
-    bool tryTranslate(Asid asid, VirtAddr va, PhysAddr &pa) override;
-
-    /** AddressTranslator: demand-allocate @p va 's page (serial
-     *  phases only — runs the normal translate path). */
-    void touchPage(Asid asid, VirtAddr va) override;
 
     /**
      * Relocate the page holding @p va to a fresh physical frame

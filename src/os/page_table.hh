@@ -49,23 +49,6 @@ class PageTable
         return (ppage << pageBytesLog2) | pageOffset(va);
     }
 
-    /**
-     * Side-effect-free translation probe: no TLB fill, no on-demand
-     * allocation — just the map lookup. Safe to call concurrently
-     * from PDES lanes as long as nothing mutates the table (all
-     * mutation happens in the serial global phase). Returns false
-     * when @p va 's page is unmapped (a first touch).
-     */
-    bool
-    tryTranslate(VirtAddr va, PhysAddr &pa) const
-    {
-        auto it = map_.find(pageNumber(va));
-        if (it == map_.end())
-            return false;
-        pa = (it->second << pageBytesLog2) | pageOffset(va);
-        return true;
-    }
-
     /** Current mapping of @p vpage; ~0 if unmapped. */
     uint64_t
     lookup(uint64_t vpage) const

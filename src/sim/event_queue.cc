@@ -12,8 +12,6 @@ constexpr size_t slabNodes = 256;
 
 } // namespace
 
-thread_local EventQueue *EventQueue::tlsActive_ = nullptr;
-
 EventQueue::EventQueue()
 {
     buckets_.resize(calendarHorizon);
@@ -95,7 +93,7 @@ EventQueue::linkNode(Node *n)
 }
 
 bool
-EventQueue::cancelHere(EventId id)
+EventQueue::cancel(EventId id)
 {
     logtm_assert(id < nextSeq_, "cancel of an unknown event id");
     return cancelled_.insert(id).second;

@@ -117,8 +117,6 @@ constexpr uint32_t numEventPriorities = 3;
  */
 using EventId = uint64_t;
 
-class PdesExec;
-
 /** Event queue keyed on (when, priority, seq). */
 class EventQueue
 {
@@ -130,15 +128,7 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
-    Cycle
-    now() const
-    {
-        if (routed_) [[unlikely]] {
-            if (const EventQueue *q = tlsActive_; q && q != this)
-                return q->now_;
-        }
-        return now_;
-    }
+    Cycle now() const { return now_; }
 
     /**
      * Schedule @p action to run at absolute cycle @p when. Scheduling
@@ -157,17 +147,6 @@ class EventQueue
     schedule(Cycle when, F &&action,
              EventPriority prio = EventPriority::Default)
     {
-        // PDES facade: every component holds a reference to the
-        // Simulator's queue; when a lane worker is executing, its
-        // schedules belong on the lane's own calendar (sim/pdes.hh).
-        // Lane queues themselves are never routed, so the redirect
-        // recurses at most once. Classic runs pay one predictable
-        // branch.
-        if (routed_) [[unlikely]] {
-            if (EventQueue *q = tlsActive_; q && q != this)
-                return q->schedule(when, std::forward<F>(action),
-                                   prio);
-        }
         logtm_assert(when >= now_,
                      "cannot schedule an event in the past");
         const EventId seq = nextSeq_++;
@@ -193,19 +172,9 @@ class EventQueue
     /**
      * Cancel a pending event. @return true when the event was still
      * pending. Must not be called for an event that already fired
-     * (the handle is dead at that point). Routed like schedule():
-     * handles are only ever cancelled from the context that created
-     * them, so the redirect finds the owning lane queue.
+     * (the handle is dead at that point).
      */
-    bool
-    cancel(EventId id)
-    {
-        if (routed_) [[unlikely]] {
-            if (EventQueue *q = tlsActive_; q && q != this)
-                return q->cancel(id);
-        }
-        return cancelHere(id);
-    }
+    bool cancel(EventId id);
 
     /**
      * Cancel @p id and schedule @p action in its place at @p when.
@@ -247,57 +216,21 @@ class EventQueue
     static constexpr uint32_t calendarHorizonLog2 = 12;
     static constexpr uint32_t calendarHorizon = 1u << calendarHorizonLog2;
 
-    // ----- PDES support (sim/pdes.hh) ---------------------------------
-
     /** nextEventTick() result for a drained queue. */
     static constexpr Cycle kNeverTick = ~Cycle(0);
 
     /** Earliest pending tick (cancelled tombstones included — they
-     *  are purged on pop, so an "empty" window still makes progress),
-     *  or kNeverTick when drained. */
+     *  are purged on pop), or kNeverTick when drained. */
     Cycle nextEventTick();
 
     /** Execute the earliest event if its tick is <= @p deadline.
      *  @return true when an event ran. Purges cancelled events.
-     *  PDES lanes step windows with this; deadline-parked nodes go
-     *  through the order-exact overflow heap, so window boundaries
-     *  never reorder events. */
+     *  run(max_cycles) steps with this; a deadline-parked node goes
+     *  through the order-exact overflow heap, so a deadline never
+     *  reorders events. */
     bool stepBounded(Cycle deadline);
 
-    /**
-     * Mark this queue as the PDES facade: schedule/now/cancel calls
-     * arriving while a lane worker is active are redirected to that
-     * lane's queue. @p px is retained for component-side hazard
-     * checks (Dram, Mesh, DataStore discover the executor through
-     * the queue reference they already hold). Null detaches.
-     */
-    void
-    setPdes(PdesExec *px)
-    {
-        pdes_ = px;
-        routed_ = (px != nullptr);
-    }
-    PdesExec *pdes() const { return pdes_; }
-
-    /** The queue the calling thread's schedules currently land on
-     *  (null = this context is not bound to any lane). */
-    static EventQueue *activeQueue() { return tlsActive_; }
-    /** Bind/unbind the calling thread to @p q (PDES lane workers and
-     *  the global phase set this around their stepping loops). */
-    static void setActiveQueue(EventQueue *q) { tlsActive_ = q; }
-
-    /** Force the clock to @p c (>= now) — the PDES coordinator lands
-     *  the facade on the run's frontier after the final window. */
-    void
-    forceNow(Cycle c)
-    {
-        logtm_assert(c >= now_, "forceNow would rewind the clock");
-        now_ = c;
-    }
-
   private:
-    /** cancel() after facade routing resolved to this queue. */
-    bool cancelHere(EventId id);
     /** True when a pending event was cancelled; consumes the mark. */
     bool consumeCancelled(uint64_t seq);
 
@@ -347,11 +280,6 @@ class EventQueue
     Node *popEarliest();
 
     // ----- state ------------------------------------------------------
-
-    /** PDES routing (facade queues only; lane queues never set it). */
-    bool routed_ = false;
-    PdesExec *pdes_ = nullptr;
-    static thread_local EventQueue *tlsActive_;
 
     Cycle now_ = 0;
     uint64_t nextSeq_ = 0;

@@ -1,42 +1,12 @@
 #include "sim/simulator.hh"
 
 #include "common/log.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
-
-Simulator::Simulator(uint64_t seed) : rng_(seed) {}
-
-Simulator::~Simulator() = default;
-
-Rng &
-Simulator::rng()
-{
-    if (pdes_) [[unlikely]] {
-        if (Rng *lane = PdesExec::currentLaneRng())
-            return *lane;
-    }
-    return rng_;
-}
-
-void
-Simulator::adoptPdes(std::unique_ptr<PdesExec> px)
-{
-    pdes_ = std::move(px);
-    queue_.setPdes(pdes_.get());
-}
-
-uint64_t
-Simulator::eventsExecuted() const
-{
-    return pdes_ ? pdes_->eventsExecuted() : queue_.executed();
-}
 
 Cycle
 Simulator::runUntil(const std::function<bool()> &done, Cycle watchdog)
 {
-    if (pdes_)
-        return pdes_->run(done, watchdog);
     const Cycle start = queue_.now();
     while (!done()) {
         if (!queue_.step()) {
@@ -53,8 +23,6 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle watchdog)
 Cycle
 Simulator::runToCompletion(Cycle watchdog)
 {
-    if (pdes_)
-        return pdes_->run([]() { return false; }, watchdog);
     const Cycle start = queue_.now();
     while (queue_.step()) {
         if (queue_.now() - start > watchdog)

@@ -8,7 +8,6 @@
 #define LOGTM_SIM_SIMULATOR_HH
 
 #include <functional>
-#include <memory>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -17,39 +16,21 @@
 
 namespace logtm {
 
-class PdesExec;
-
 class Simulator
 {
   public:
-    // Out of line: the members' cleanup paths need PdesExec complete.
-    explicit Simulator(uint64_t seed = 1);
-    ~Simulator();
+    explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
 
     EventQueue &queue() { return queue_; }
     StatsRegistry &stats() { return stats_; }
     /** Observability event bus; free when no sink is attached. */
     EventBus &events() { return events_; }
-    /**
-     * The run-wide RNG — or, on a PDES lane worker, that lane's own
-     * stream, so every draw made while simulating a partition is
-     * partition-owned (the determinism requirement for --sim-jobs
-     * invariance). Classic runs resolve to the run-wide stream
-     * unconditionally.
-     */
-    Rng &rng();
+    /** The run-wide RNG. */
+    Rng &rng() { return rng_; }
     Cycle now() const { return queue_.now(); }
 
-    /**
-     * Adopt a windowed parallel executor: runUntil/runToCompletion
-     * dispatch to it and queue() becomes the routed facade. Wired by
-     * the harness (harness/parallel.hh); never set on classic runs.
-     */
-    void adoptPdes(std::unique_ptr<PdesExec> px);
-    PdesExec *pdes() { return pdes_.get(); }
-
-    /** Events executed so far, across every queue under PDES. */
-    uint64_t eventsExecuted() const;
+    /** Events executed so far. */
+    uint64_t eventsExecuted() const { return queue_.executed(); }
 
     /**
      * Run until @p done returns true or the event queue drains.
@@ -69,7 +50,6 @@ class Simulator
     StatsRegistry stats_;
     EventBus events_;
     Rng rng_;
-    std::unique_ptr<PdesExec> pdes_;
 };
 
 } // namespace logtm

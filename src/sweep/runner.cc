@@ -112,8 +112,6 @@ runExperiments(std::vector<ExperimentConfig> cfgs, const RunOptions &opt)
     for (const size_t index : pending) {
         jobFns.push_back([&, index](const JobContext &ctx) {
             ExperimentConfig cfg = cfgs[index];
-            if (opt.simJobs > 0)
-                cfg.simJobs = opt.simJobs;
             if (ctx.cancelled())
                 throw JobTimeout();
             cfg.cancel = [&ctx]() { return ctx.cancelled(); };

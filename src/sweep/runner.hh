@@ -28,11 +28,6 @@ struct RunOptions
     /** Per-attempt timeout in ms (0 = none) and attempt budget. */
     uint64_t timeoutMs = 0;
     unsigned maxAttempts = 2;
-    /** Simulator-core worker threads per experiment (--sim-jobs);
-     *  0 leaves each config's own setting. A host-execution knob:
-     *  results are byte-identical at any value, so it is never part
-     *  of the result-cache key. */
-    unsigned simJobs = 0;
     /** Progress/ETA line on stderr. */
     bool progress = false;
     std::string label = "sweep";

@@ -37,9 +37,6 @@ usage(std::FILE *to)
         "  --spec FILE         JSON sweep spec (docs/SWEEPS.md)\n"
         "  --jobs N            host worker threads (0 = all cores;\n"
         "                      default $LOGTM_JOBS or 1)\n"
-        "  --sim-jobs N        worker threads inside each eligible\n"
-        "                      simulation (windowed parallel core;\n"
-        "                      results identical at any value)\n"
         "  --seeds K           override the seed-axis count\n"
         "  --quick             smoke preset: one seed, 1/8 units\n"
         "                      (explicit --seeds/--units-denom win)\n"
@@ -103,9 +100,6 @@ main(int argc, char **argv)
                             &run.cacheDir)) {
         } else if (argValue(argc, argv, &i, "--jobs", &value)) {
             run.jobs = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (argValue(argc, argv, &i, "--sim-jobs", &value)) {
-            run.simJobs = static_cast<unsigned>(
                 std::strtoul(value.c_str(), nullptr, 10));
         } else if (argValue(argc, argv, &i, "--seeds", &value)) {
             seedCount = static_cast<uint32_t>(

@@ -1,7 +1,6 @@
 #include "sync/barrier.hh"
 
 #include "common/log.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
 
@@ -18,20 +17,6 @@ void
 Barrier::arrive(ThreadId t, std::function<void()> done)
 {
     Simulator &sim = engine_.simulator();
-    PdesExec *px = sim.queue().pdes();
-
-    if (px && px->inParallelPhase()) {
-        // Arrivals mutate shared state (waiting_, the accounting
-        // windows of other contexts on release); re-run in the serial
-        // global phase. The canonical drain orders same-tick arrivals
-        // by (tick, lane, emission), which is jobs-invariant.
-        px->postGlobal(sim.now(), EventPriority::Cpu,
-                       [this, t, d = std::move(done)]() mutable {
-                           arrive(t, std::move(d));
-                       });
-        return;
-    }
-
     const Cycle now = sim.now();
     CycleAccounting &acct = engine_.accounting();
 
@@ -46,30 +31,15 @@ Barrier::arrive(ThreadId t, std::function<void()> done)
     }
 
     // Last arrival: release every waiter in arrival order (a
-    // deterministic sequence), then continue ourselves. Under PDES,
-    // re-home each continuation onto its thread's own lane at the
-    // window boundary so post-barrier execution parallelizes again
-    // instead of accreting on the global lane.
+    // deterministic sequence), then continue ourselves.
     ++episodes_;
     std::vector<std::pair<ThreadId, std::function<void()>>> release;
     release.swap(waiting_);
     for (auto &[wt, wdone] : release) {
         engine_.resumePhase(wt);
-        if (px) {
-            px->scheduleLane(px->laneOfThread(wt), px->windowEnd(),
-                             EventPriority::Cpu, std::move(wdone));
-        } else {
-            sim.queue().scheduleIn(0, std::move(wdone),
-                                   EventPriority::Cpu);
-        }
+        sim.queue().scheduleIn(0, std::move(wdone), EventPriority::Cpu);
     }
-    if (px) {
-        px->scheduleLane(px->laneOfThread(t), px->windowEnd(),
-                         EventPriority::Cpu, std::move(done));
-    } else {
-        sim.queue().scheduleIn(0, std::move(done),
-                               EventPriority::Cpu);
-    }
+    sim.queue().scheduleIn(0, std::move(done), EventPriority::Cpu);
 }
 
 } // namespace logtm

@@ -8,7 +8,6 @@
 #include "obs/attribution.hh"
 #include "pm/persist_model.hh"
 #include "sig/signature_factory.hh"
-#include "sim/pdes.hh"
 #include "tm/hybrid_model.hh"
 #include "tm/tx_observer.hh"
 
@@ -863,31 +862,7 @@ TmEngine::issueOp(std::shared_ptr<OpRequest> op)
         return;
     }
 
-    PhysAddr pa = 0;
-    if (!translator_->tryTranslate(thr.asid, op->va, pa))
-        [[unlikely]] {
-        // First touch of an unmapped page from a PDES lane: the
-        // demand allocation mutates the shared page table, so hand it
-        // to the serial global phase and re-issue the op on its home
-        // lane at the next window boundary. The deferral depends only
-        // on the page-table contents (jobs-invariant), so the
-        // re-issue tick is identical at any --sim-jobs.
-        PdesExec *px = sim_.queue().pdes();
-        logtm_assert(px, "tryTranslate failed outside PDES");
-        px->postGlobal(
-            sim_.now(), EventPriority::Cpu,
-            [this, op = std::move(op)]() mutable {
-                translator_->touchPage(threads_[op->t]->asid, op->va);
-                PdesExec *px2 = sim_.queue().pdes();
-                px2->scheduleLane(
-                    px2->laneOfThread(op->t), px2->windowEnd(),
-                    EventPriority::Cpu,
-                    [this, op = std::move(op)]() mutable {
-                        issueOp(std::move(op));
-                    });
-            });
-        return;
-    }
+    const PhysAddr pa = translator_->translate(thr.asid, op->va);
     const PhysAddr block = blockAlign(pa);
 
     // 1. Summary signature: checked on EVERY memory reference,

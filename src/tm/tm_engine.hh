@@ -28,7 +28,6 @@
 #define LOGTM_TM_TM_ENGINE_HH
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -60,26 +59,6 @@ class AddressTranslator
   public:
     virtual ~AddressTranslator() = default;
     virtual PhysAddr translate(Asid asid, VirtAddr va) = 0;
-
-    /**
-     * PDES seam: translate without side effects when mutation is
-     * unsafe (a lane first-touching an unmapped page mid-window).
-     * Returns false when the translation would have to allocate; the
-     * engine then defers the op to touchPage() in the serial global
-     * phase and re-issues. The default — and any translator without
-     * demand paging — always succeeds.
-     */
-    virtual bool
-    tryTranslate(Asid asid, VirtAddr va, PhysAddr &pa)
-    {
-        pa = translate(asid, va);
-        return true;
-    }
-
-    /** Materialize the mapping for @p va (first-touch allocation);
-     *  only ever called from a serial phase. */
-    virtual void touchPage(Asid asid, VirtAddr va)
-    { (void)asid; (void)va; }
 };
 
 class IdentityTranslator : public AddressTranslator
@@ -384,9 +363,7 @@ class TmEngine : public ConflictChecker
     PersistModel *pm_ = nullptr;
     HybridModel *hybrid_ = nullptr;
     SigBypassFn sigBypass_;
-    /** Relaxed atomic: bumped from every lane under PDES; a plain
-     *  gauge, so commutative increments keep it jobs-invariant. */
-    std::atomic<uint32_t> opsInFlight_{0};
+    uint32_t opsInFlight_ = 0;
     CycleAccounting acct_;
 
     std::vector<std::unique_ptr<HwContext>> contexts_;

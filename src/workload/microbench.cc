@@ -78,8 +78,7 @@ MicrobenchWorkload::threadMain(ThreadCtx &tc, uint32_t idx)
             co_await body(tc);
             co_await tc.release(*lock_);
         }
-        committedIncrements_.fetch_add(writes.size(),
-                                       std::memory_order_relaxed);
+        committedIncrements_ += writes.size();
         bumpUnits();
 
         if (mb_.thinkCycles)

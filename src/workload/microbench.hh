@@ -10,8 +10,6 @@
 #ifndef LOGTM_WORKLOAD_MICROBENCH_HH
 #define LOGTM_WORKLOAD_MICROBENCH_HH
 
-#include <atomic>
-
 #include "workload/workload.hh"
 
 namespace logtm {
@@ -51,10 +49,7 @@ class MicrobenchWorkload : public Workload
     uint64_t counterSum();
 
     /** Total committed increments (each unit commits writesPerTx). */
-    uint64_t expectedIncrements() const
-    {
-        return committedIncrements_.load(std::memory_order_relaxed);
-    }
+    uint64_t expectedIncrements() const { return committedIncrements_; }
 
     VirtAddr counterAddr(uint32_t i) const;
 
@@ -62,10 +57,7 @@ class MicrobenchWorkload : public Workload
     MicrobenchConfig mb_;
     static constexpr VirtAddr countersBase_ = 0x10'0000;
     static constexpr VirtAddr lockBase_ = 0x20'0000;
-    /** Relaxed atomic: bumped from whichever host lane runs the
-     *  committing thread under the parallel executor; only the final
-     *  sum is read, so ordering never matters. */
-    std::atomic<uint64_t> committedIncrements_{0};
+    uint64_t committedIncrements_ = 0;
     std::unique_ptr<Spinlock> lock_;
     std::unique_ptr<Barrier> barrier_;
 };

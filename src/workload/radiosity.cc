@@ -75,7 +75,8 @@ RadiosityWorkload::threadMain(ThreadCtx &tc, uint32_t idx)
                 uint64_t head = 0;
                 for (uint32_t v : victims)
                     TM_LOAD(t, head, paddedSlot(queueBase_, v));
-                uint64_t task = 0;
+                // The dequeued task is only read for its footprint.
+                [[maybe_unused]] uint64_t task = 0;
                 TM_LOAD(t, task,
                         blockSlot(taskBase_, head % taskSlots_));
                 TM_STORE(t, paddedSlot(queueBase_, victims.back()),

@@ -1,9 +1,6 @@
 #include "workload/workload.hh"
 
-#include <atomic>
-
 #include "common/log.hh"
-#include "sim/pdes.hh"
 
 namespace logtm {
 
@@ -19,15 +16,10 @@ Workload::run(const std::function<bool()> &earlyExit)
 
     std::vector<Task> tasks;
     tasks.reserve(p_.numThreads);
-    // Tasks finish on their own lane under PDES; the counter is a
-    // commutative relaxed bump, read at window barriers only.
-    std::atomic<uint32_t> done_count{0};
+    uint32_t done_count = 0;
 
-    std::vector<ThreadId> tids;
-    tids.reserve(p_.numThreads);
     for (uint32_t i = 0; i < p_.numThreads; ++i) {
         const ThreadId t = sys_.os().spawnThread(asid_);
-        tids.push_back(t);
         ctxs_.push_back(std::make_unique<ThreadCtx>(sys_, t));
     }
     for (uint32_t i = 0; i < p_.numThreads; ++i) {
@@ -36,23 +28,12 @@ Workload::run(const std::function<bool()> &earlyExit)
     }
 
     const Cycle start = sys_.now();
-    PdesExec *px = sys_.sim().queue().pdes();
     // Stagger thread starts slightly to avoid artificial lockstep.
     for (uint32_t i = 0; i < p_.numThreads; ++i) {
         Task &task = tasks[i];
-        if (px) {
-            // Home each thread's first event on its own lane: the
-            // whole coroutine then executes there (its continuations
-            // schedule through the routed facade), which is what
-            // makes the run parallelize at all.
-            px->scheduleLane(px->laneOfThread(tids[i]),
-                             start + 1 + i * 3, EventPriority::Cpu,
-                             [&task]() { task.start(); });
-        } else {
-            sys_.sim().queue().scheduleIn(1 + i * 3,
-                                          [&task]() { task.start(); },
-                                          EventPriority::Cpu);
-        }
+        sys_.sim().queue().scheduleIn(1 + i * 3,
+                                      [&task]() { task.start(); },
+                                      EventPriority::Cpu);
     }
 
     sys_.sim().runUntil([&]() {

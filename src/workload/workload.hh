@@ -9,7 +9,6 @@
 #ifndef LOGTM_WORKLOAD_WORKLOAD_HH
 #define LOGTM_WORKLOAD_WORKLOAD_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -100,9 +99,7 @@ class Workload
     TmSystem &sys_;
     WorkloadParams p_;
     Asid asid_ = 0;
-    /** Relaxed atomic: bumped from every lane under PDES; the sum is
-     *  commutative, so the final value is jobs-invariant. */
-    std::atomic<uint64_t> unitsDone_{0};
+    uint64_t unitsDone_ = 0;
     std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
 };
 

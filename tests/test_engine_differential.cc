@@ -242,8 +242,9 @@ TEST_P(EngineDifferential, VersioningContractHolds)
         EXPECT_GT(st.counterValue("tm.engine.bufferedWrites"), 0u);
         EXPECT_GT(st.counterValue("tm.engine.publishedWords"), 0u);
     }
-    if (GetParam().engine == TmEngineKind::RequesterWins)
+    if (GetParam().engine == TmEngineKind::RequesterWins) {
         EXPECT_EQ(st.counterValue("tm.engine.commitInvalidates"), 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

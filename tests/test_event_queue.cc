@@ -291,9 +291,9 @@ TEST(EventQueueProperties, CancelledFarEventsDoNotResurface)
  * horizon+1 is plainly far. The sweep schedules priority-tied pairs
  * at all three offsets from several window anchors (including
  * re-anchored rings deep into wrapped ticks) and drains with both
- * execution engines — the classic unbounded step() and the windowed
- * stepBounded() the parallel executor uses — against the stable-sort
- * reference. Any off-by-one in linkNode/migrateFromFar would misfile
+ * execution engines — the classic unbounded step() and the
+ * deadline-bounded stepBounded() behind run(max_cycles) — against the
+ * stable-sort reference. Any off-by-one in linkNode/migrateFromFar would misfile
  * the seam tick and break the order or trip the foreign-tick assert.
  */
 TEST(EventQueueProperties, HorizonSeamBoundarySweepOnBothEngines)

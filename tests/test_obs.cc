@@ -471,6 +471,57 @@ TEST(TraceExport, SyntheticStreamParsesBack)
     EXPECT_TRUE(sawConflictArgs);
 }
 
+/** Every durability and hybrid event kind reaches the timeline as an
+ *  instant carrying its arguments (none is silently dropped). */
+TEST(TraceExport, PersistAndHybridEventsBecomeInstants)
+{
+    std::vector<ObsEvent> evs;
+    evs.push_back({.cycle = 10,
+                   .kind = EventKind::PmFlush,
+                   .thread = 1,
+                   .a = 4,
+                   .b = 7});
+    evs.push_back({.cycle = 20,
+                   .kind = EventKind::HyEscalation,
+                   .thread = 1,
+                   .a = 3,
+                   .b = static_cast<uint64_t>(AbortCause::Capacity)});
+    evs.push_back({.cycle = 30,
+                   .kind = EventKind::HyFallbackLock,
+                   .thread = 1,
+                   .a = 1});
+    evs.push_back({.cycle = 40,
+                   .kind = EventKind::HyFallbackLock,
+                   .thread = 1,
+                   .a = 0});
+
+    TraceExportInfo info;
+    info.numContexts = 2;
+    info.threadsPerCore = 1;
+    std::ostringstream os;
+    exportChromeTrace(evs, info, os);
+
+    const JsonValue root = parseJsonOrDie(os.str());
+    std::map<std::string, const JsonValue *> byName;
+    for (const JsonValue &e : root["traceEvents"].items) {
+        if (e["ph"].str == "i")
+            byName[e["name"].str] = &e;
+    }
+    ASSERT_EQ(byName.size(), 4u);
+    ASSERT_TRUE(byName.count("pm.flush"));
+    EXPECT_DOUBLE_EQ((*byName["pm.flush"])["args"]["records"].number, 4);
+    EXPECT_DOUBLE_EQ((*byName["pm.flush"])["args"]["seq"].number, 7);
+    ASSERT_TRUE(byName.count("hy.escalation"));
+    EXPECT_DOUBLE_EQ(
+        (*byName["hy.escalation"])["args"]["hwAttempts"].number, 3);
+    EXPECT_EQ((*byName["hy.escalation"])["args"]["lastCause"].str,
+              abortCauseName(static_cast<uint8_t>(AbortCause::Capacity)));
+    ASSERT_TRUE(byName.count("hy.fallbackLock.acquire"));
+    ASSERT_TRUE(byName.count("hy.fallbackLock.release"));
+    EXPECT_DOUBLE_EQ(
+        (*byName["hy.fallbackLock.release"])["ts"].number, 40);
+}
+
 TEST(TraceExport, RealRunHasTrackPerContextAndConflicts)
 {
     ContendedRun run;

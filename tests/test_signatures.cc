@@ -25,9 +25,15 @@ namespace {
 
 struct SigParam
 {
+    SigParam(SignatureKind k, uint32_t b) : kind(k), bits(b) {}
+
     SignatureKind kind;
+    // gtest prints the param's raw bytes into the test name; naming the
+    // padding keeps it zero, so every build lists the same name.
+    uint8_t pad[3] = {};
     uint32_t bits;
 };
+static_assert(sizeof(SigParam) == 8, "SigParam must have no hidden padding");
 
 std::string
 paramName(const testing::TestParamInfo<SigParam> &info)

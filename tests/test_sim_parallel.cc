@@ -1,29 +1,27 @@
 /**
  * @file
- * Determinism lockdown for the windowed parallel simulator core
- * (sim/pdes.hh, harness/parallel.hh): an eligible configuration must
- * produce byte-identical stats.json, timeseries.json and golden-trace
- * bytes at every --sim-jobs value — 1 (the windowed schedule run
- * inline), 2 and 4 — on all Table 2 workloads and all three engines,
- * and an ineligible configuration must fall back to the classic
- * serial loop at any jobs value. docs/PERFORMANCE.md documents the
- * model; CI runs this suite at host-thread counts 1/2/4.
+ * Simulations side by side on host threads. The simulator is one
+ * serial event loop; host parallelism comes only from the campaign
+ * runner (`--jobs`), whose workers each own one independent
+ * simulation. Nothing mutable may be shared between those
+ * simulations, so every artifact — stats.json, timeseries.json and
+ * golden-trace bytes — must be byte-identical whether a configuration
+ * runs alone or beside copies of itself and of other configurations.
  */
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/trace_capture.hh"
 #include "obs/trace_pin.hh"
-#include "os/tm_system.hh"
+#include "sweep/runner.hh"
 
 namespace logtm {
 namespace {
@@ -47,259 +45,162 @@ struct Artifacts
     std::string timeseries;
 };
 
-/** Run @p cfg at a given jobs value with observability on, returning
- *  the result plus the raw bytes of the emitted artifacts. */
-Artifacts
-runWithJobs(ExperimentConfig cfg, uint32_t jobs, const std::string &tag)
+/** Run @p cfgs through the campaign runner at @p jobs host workers
+ *  with observability on, returning each result plus the raw bytes
+ *  of its emitted artifacts, in input order. */
+std::vector<Artifacts>
+runSideBySide(std::vector<ExperimentConfig> cfgs, unsigned jobs,
+              const std::string &tag)
 {
-    const fs::path dir = fs::temp_directory_path() /
-        ("logtm_simpar_" + tag + "_j" + std::to_string(jobs));
-    fs::remove_all(dir);
-    cfg.obs.outDir = dir.string();
-    if (cfg.obs.intervalCycles == 0)
-        cfg.obs.intervalCycles = 2000;
-    cfg.simJobs = jobs;
-    Artifacts a;
-    a.res = runExperiment(cfg);
-    a.stats = readFile(dir / "stats.json");
-    a.timeseries = readFile(dir / "timeseries.json");
-    fs::remove_all(dir);
-    return a;
-}
+    std::vector<fs::path> dirs;
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        const fs::path dir = fs::temp_directory_path() /
+            ("logtm_simpar_" + tag + "_j" + std::to_string(jobs) +
+             "_" + std::to_string(i));
+        fs::remove_all(dir);
+        cfgs[i].obs.outDir = dir.string();
+        if (cfgs[i].obs.intervalCycles == 0)
+            cfgs[i].obs.intervalCycles = 2000;
+        dirs.push_back(dir);
+    }
+    sweep::RunOptions opt;
+    opt.jobs = jobs;
+    const std::vector<sweep::RunOutcome> outcomes =
+        sweep::runExperiments(cfgs, opt);
 
-/** The default (Table 2) system with a chosen engine. */
-ExperimentConfig
-table2Config(Benchmark b, TmEngineKind engine)
-{
-    ExperimentConfig cfg;
-    cfg.bench = b;
-    cfg.sys.engine = engine;
-    cfg.wl.numThreads = cfg.sys.numContexts();
-    cfg.wl.useTm = true;
-    // 1/32 of the paper's transaction counts: enough contention to
-    // exercise conflicts, stalls and aborts on every benchmark while
-    // the full 5x3 matrix stays test-suite-fast.
-    cfg.wl.totalUnits = std::max<uint64_t>(64, defaultUnits(b) / 32);
-    return cfg;
+    std::vector<Artifacts> out;
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_TRUE(outcomes[i].ok) << tag << " #" << i << ": "
+                                    << outcomes[i].error;
+        Artifacts a;
+        a.res = outcomes[i].result;
+        a.stats = readFile(dirs[i] / "stats.json");
+        a.timeseries = readFile(dirs[i] / "timeseries.json");
+        fs::remove_all(dirs[i]);
+        out.push_back(std::move(a));
+    }
+    return out;
 }
 
 void
-expectIdenticalAcrossJobs(const ExperimentConfig &cfg,
-                          const std::string &tag,
-                          std::initializer_list<uint32_t> jobsAxis)
+expectSameArtifacts(const Artifacts &base, const Artifacts &got,
+                    const std::string &what)
 {
-    ASSERT_GE(jobsAxis.size(), 2u);
-    const uint32_t first = *jobsAxis.begin();
-    const Artifacts base = runWithJobs(cfg, first, tag);
-    if (cfg.wl.useTm)
-        EXPECT_GT(base.res.commits, 0u) << tag;
-    for (uint32_t jobs : jobsAxis) {
-        if (jobs == first)
-            continue;
-        const Artifacts got = runWithJobs(cfg, jobs, tag);
-        EXPECT_EQ(base.stats, got.stats)
-            << tag << ": stats.json diverges at jobs=" << jobs;
-        EXPECT_EQ(base.timeseries, got.timeseries)
-            << tag << ": timeseries.json diverges at jobs=" << jobs;
-        EXPECT_EQ(base.res.cycles, got.res.cycles) << tag;
-        EXPECT_EQ(base.res.commits, got.res.commits) << tag;
-        EXPECT_EQ(base.res.aborts, got.res.aborts) << tag;
-    }
+    EXPECT_EQ(base.stats, got.stats)
+        << what << ": stats.json diverges";
+    EXPECT_EQ(base.timeseries, got.timeseries)
+        << what << ": timeseries.json diverges";
+    EXPECT_EQ(base.res.cycles, got.res.cycles) << what;
+    EXPECT_EQ(base.res.commits, got.res.commits) << what;
+    EXPECT_EQ(base.res.aborts, got.res.aborts) << what;
 }
 
-// ----- eligibility gate ------------------------------------------------
-
-TEST(SimParallelGate, DefaultTransactionalConfigIsEligible)
+/** The contended microbench on the default (Table 2) system. */
+ExperimentConfig
+contendedMicrobench()
 {
-    const ExperimentConfig cfg =
-        table2Config(Benchmark::Microbench, TmEngineKind::LogTmSe);
-    EXPECT_TRUE(simParallelEligible(cfg));
-}
-
-TEST(SimParallelGate, IneligibleConfigsFallBack)
-{
-    const auto base =
-        table2Config(Benchmark::Microbench, TmEngineKind::LogTmSe);
-
-    ExperimentConfig lock = base;
-    lock.wl.useTm = false;
-    EXPECT_FALSE(simParallelEligible(lock));
-
-    ExperimentConfig lazy = base;
-    lazy.sys.engine = TmEngineKind::Lazy;
-    EXPECT_FALSE(simParallelEligible(lazy));
-
-    ExperimentConfig snoop = base;
-    snoop.sys.coherence = CoherenceKind::Snooping;
-    EXPECT_FALSE(simParallelEligible(snoop));
-
-    ExperimentConfig pm = base;
-    pm.sys.pm.enabled = true;
-    EXPECT_FALSE(simParallelEligible(pm));
-
-    ExperimentConfig hybrid = base;
-    hybrid.sys.hybrid.enabled = true;
-    EXPECT_FALSE(simParallelEligible(hybrid));
-
-    ExperimentConfig crash = base;
-    crash.sys.pm.enabled = true;
-    crash.crashAtCycle = 1000;
-    EXPECT_FALSE(simParallelEligible(crash));
-
-    // A single-tile mesh has no partition to exploit.
-    ExperimentConfig tiny = base;
-    tiny.sys.numCores = 1;
-    tiny.sys.threadsPerCore = 2;
-    tiny.sys.meshCols = 1;
-    tiny.sys.meshRows = 1;
-    tiny.sys.l2Banks = 1;
-    EXPECT_FALSE(simParallelEligible(tiny));
-}
-
-// ----- quick smoke: the contended microbench ---------------------------
-
-TEST(SimParallel, MicrobenchArtifactsIdenticalAcrossJobs)
-{
-    ExperimentConfig cfg =
-        table2Config(Benchmark::Microbench, TmEngineKind::LogTmSe);
+    ExperimentConfig cfg;
+    cfg.bench = Benchmark::Microbench;
+    cfg.wl.numThreads = cfg.sys.numContexts();
+    cfg.wl.useTm = true;
     cfg.wl.totalUnits = 512;
     cfg.mb.numCounters = 8;  // heavy contention
     cfg.mb.readsPerTx = 2;
     cfg.mb.writesPerTx = 2;
-    ASSERT_TRUE(simParallelEligible(cfg));
-    expectIdenticalAcrossJobs(cfg, "micro", {1, 2, 4});
+    return cfg;
 }
 
-/** The microbench atomicity invariant must hold under the parallel
- *  executor: the shared counters sum to exactly the committed
- *  increments at every jobs value. */
+/** One configuration run alone, then as 2 and 4 copies on as many
+ *  workers: every copy matches the lone run byte for byte. */
+TEST(SimParallel, MicrobenchArtifactsIdenticalAcrossJobs)
+{
+    const ExperimentConfig cfg = contendedMicrobench();
+    const std::vector<Artifacts> alone = runSideBySide({cfg}, 1, "micro");
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_GT(alone[0].res.commits, 0u);
+    for (unsigned jobs : {2u, 4u}) {
+        const std::vector<Artifacts> copies = runSideBySide(
+            std::vector<ExperimentConfig>(jobs, cfg), jobs, "micro");
+        ASSERT_EQ(copies.size(), jobs);
+        for (unsigned i = 0; i < jobs; ++i)
+            expectSameArtifacts(alone[0], copies[i],
+                                "jobs=" + std::to_string(jobs) +
+                                " copy " + std::to_string(i));
+    }
+}
+
+/** The microbench atomicity invariant holds for every seed when the
+ *  campaign runner's workers execute the simulations in parallel, and
+ *  each result equals its serial run. */
 TEST(SimParallel, MicrobenchAtomicityHoldsUnderParallelExecutor)
 {
-    ExperimentConfig cfg =
-        table2Config(Benchmark::Microbench, TmEngineKind::LogTmSe);
-    cfg.wl.totalUnits = 512;
-    cfg.mb.numCounters = 8;
-    for (uint32_t jobs : {1u, 2u, 4u}) {
-        const Artifacts a =
-            runWithJobs(cfg, jobs, "micro_atomic");
-        EXPECT_EQ(a.res.microCounterSum, a.res.microExpected)
-            << "jobs=" << jobs;
-        EXPECT_GT(a.res.microCounterSum, 0u);
+    std::vector<ExperimentConfig> cfgs;
+    for (uint64_t seed : {1, 2, 3, 4}) {
+        ExperimentConfig cfg = contendedMicrobench();
+        cfg.wl.seed = seed;
+        cfgs.push_back(cfg);
+    }
+    const std::vector<Artifacts> serial =
+        runSideBySide(cfgs, 1, "micro_atomic");
+    const std::vector<Artifacts> parallel =
+        runSideBySide(cfgs, 4, "micro_atomic");
+    ASSERT_EQ(serial.size(), cfgs.size());
+    ASSERT_EQ(parallel.size(), cfgs.size());
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        const ExperimentResult &r = parallel[i].res;
+        EXPECT_EQ(r.microCounterSum, r.microExpected) << "seed #" << i;
+        EXPECT_GT(r.microCounterSum, 0u) << "seed #" << i;
+        expectSameArtifacts(serial[i], parallel[i],
+                            "seed #" + std::to_string(i));
     }
 }
 
-// ----- the full Table 2 x engine matrix --------------------------------
-
-struct MatrixCase
-{
-    Benchmark bench;
-    TmEngineKind engine;
-};
-
-class SimParallelMatrix : public testing::TestWithParam<MatrixCase>
-{};
-
-std::string
-matrixName(const testing::TestParamInfo<MatrixCase> &info)
-{
-    // Engine names carry dashes ("logtm-se"); gtest parameter names
-    // must be alphanumeric.
-    std::string name =
-        toString(info.param.bench) + "_" + toString(info.param.engine);
-    std::erase_if(name, [](char c) {
-        return !std::isalnum(static_cast<unsigned char>(c)) &&
-            c != '_';
-    });
-    return name;
-}
-
-TEST_P(SimParallelMatrix, ArtifactsIdenticalAcrossJobs)
-{
-    const MatrixCase &mc = GetParam();
-    const ExperimentConfig cfg = table2Config(mc.bench, mc.engine);
-    // The lazy engine is gated out (commit-time conflict resolution
-    // iterates every context — inherently cross-lane); it must still
-    // agree across jobs values because every value takes the same
-    // classic loop. The other engines run the windowed executor.
-    EXPECT_EQ(simParallelEligible(cfg),
-              mc.engine != TmEngineKind::Lazy);
-    expectIdenticalAcrossJobs(
-        cfg, toString(mc.bench) + "_" + toString(mc.engine),
-        {1, 2, 4});
-}
-
-std::vector<MatrixCase>
-allMatrixCases()
-{
-    std::vector<MatrixCase> cases;
-    for (const Benchmark b : paperBenchmarks()) {
-        for (const TmEngineKind e :
-             {TmEngineKind::LogTmSe, TmEngineKind::RequesterWins,
-              TmEngineKind::Lazy})
-            cases.push_back({b, e});
-    }
-    return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(Table2, SimParallelMatrix,
-                         testing::ValuesIn(allMatrixCases()),
-                         matrixName);
-
-// ----- golden-trace lockdown -------------------------------------------
-
-/** The canonical event stream (the golden-trace format) must be
- *  byte-identical at jobs 1/2/4: same events, same canonical order,
- *  same rendered bytes. */
+/** The canonical event stream (the golden-trace format) is
+ *  byte-identical when captured alone and when four captures run at
+ *  once on separate threads. */
 TEST(SimParallel, GoldenTraceBytesIdenticalAcrossJobs)
 {
+    constexpr unsigned kThreads = 4;
     for (const TmEngineKind engine :
          {TmEngineKind::LogTmSe, TmEngineKind::RequesterWins}) {
         TraceCaptureOptions opt;
         opt.engine = engine;
-        opt.simJobs = 1;
         const std::vector<ObsEvent> base = captureRunEvents(opt);
         ASSERT_FALSE(base.empty());
-        const std::string baseJson =
-            renderTraceJson(base, base.size());
-        for (uint32_t jobs : {2u, 4u}) {
-            opt.simJobs = jobs;
-            const std::vector<ObsEvent> got = captureRunEvents(opt);
-            ASSERT_EQ(base.size(), got.size()) << "jobs=" << jobs;
-            EXPECT_EQ(baseJson, renderTraceJson(got, got.size()))
-                << "engine=" << toString(engine)
-                << " jobs=" << jobs;
+        const std::string baseJson = renderTraceJson(base, base.size());
+
+        std::vector<std::string> got(kThreads);
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&opt, &got, t] {
+                const std::vector<ObsEvent> ev = captureRunEvents(opt);
+                got[t] = renderTraceJson(ev, ev.size());
+            });
         }
+        for (std::thread &th : threads)
+            th.join();
+        for (unsigned t = 0; t < kThreads; ++t)
+            EXPECT_EQ(baseJson, got[t])
+                << "engine=" << toString(engine) << " thread " << t;
     }
 }
 
-// ----- chaos mix: eligible and ineligible configs together -------------
-
-/** A mixed bag of configurations — eligible ones beside every class
- *  of fallback — must agree across the whole jobs axis {0, 1, 2, 4}:
- *  ineligible configs take the classic loop at every value (so all
- *  four agree trivially), and for eligible configs the windowed
- *  executor agrees with itself at every worker count. */
+/** A mixed bag of configurations — transactional, lazy engine,
+ *  snooping coherence and lock-based — gives the same artifacts for
+ *  each configuration at every point of the jobs axis {1, 2, 4}. */
 TEST(SimParallel, ChaosMixAgreesAcrossJobsAxis)
 {
-    struct Mix
-    {
-        const char *tag;
-        ExperimentConfig cfg;
-        bool eligible;
-    };
-    std::vector<Mix> mixes;
+    std::vector<ExperimentConfig> mix;
 
-    ExperimentConfig eligible =
-        table2Config(Benchmark::Microbench, TmEngineKind::LogTmSe);
-    eligible.wl.totalUnits = 256;
-    eligible.mb.numCounters = 8;
-    mixes.push_back({"eligible", eligible, true});
+    ExperimentConfig tm = contendedMicrobench();
+    tm.wl.totalUnits = 256;
+    mix.push_back(tm);
 
-    ExperimentConfig lazy = eligible;
+    ExperimentConfig lazy = tm;
     lazy.sys.engine = TmEngineKind::Lazy;
-    mixes.push_back({"lazy", lazy, false});
+    mix.push_back(lazy);
 
-    ExperimentConfig snoop = eligible;
+    ExperimentConfig snoop = tm;
     snoop.sys.coherence = CoherenceKind::Snooping;
     snoop.sys.numCores = 4;
     snoop.sys.threadsPerCore = 2;
@@ -307,22 +208,23 @@ TEST(SimParallel, ChaosMixAgreesAcrossJobsAxis)
     snoop.sys.meshCols = 2;
     snoop.sys.meshRows = 2;
     snoop.wl.numThreads = snoop.sys.numContexts();
-    mixes.push_back({"snooping", snoop, false});
+    mix.push_back(snoop);
 
-    ExperimentConfig lock = eligible;
+    ExperimentConfig lock = tm;
     lock.wl.useTm = false;
-    mixes.push_back({"lock", lock, false});
+    mix.push_back(lock);
 
-    for (const Mix &m : mixes) {
-        ASSERT_EQ(simParallelEligible(m.cfg), m.eligible) << m.tag;
-        // Ineligible configs must also match the jobs=0 classic run
-        // byte-for-byte; eligible ones are only required to agree
-        // among jobs >= 1 (the windowed schedule is deterministic
-        // but distinct from the classic serial interleaving).
-        if (m.eligible)
-            expectIdenticalAcrossJobs(m.cfg, m.tag, {1, 2, 4});
-        else
-            expectIdenticalAcrossJobs(m.cfg, m.tag, {0, 1, 2, 4});
+    const char *const tags[] = {"tm", "lazy", "snooping", "lock"};
+    const std::vector<Artifacts> base = runSideBySide(mix, 1, "mix");
+    ASSERT_EQ(base.size(), mix.size());
+    for (unsigned jobs : {2u, 4u}) {
+        const std::vector<Artifacts> got =
+            runSideBySide(mix, jobs, "mix");
+        ASSERT_EQ(got.size(), mix.size());
+        for (size_t i = 0; i < mix.size(); ++i)
+            expectSameArtifacts(base[i], got[i],
+                                std::string(tags[i]) + " jobs=" +
+                                std::to_string(jobs));
     }
 }
 

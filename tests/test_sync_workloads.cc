@@ -101,9 +101,15 @@ TEST(TicketLock, MutualExclusionAndNoLostUpdates)
 
 struct WlParam
 {
+    WlParam(Benchmark b, bool tm) : bench(b), useTm(tm) {}
+
     Benchmark bench;
     bool useTm;
+    // gtest prints the param's raw bytes into the test name; naming the
+    // padding keeps it zero, so every build lists the same name.
+    uint8_t pad[3] = {};
 };
+static_assert(sizeof(WlParam) == 8, "WlParam must have no hidden padding");
 
 std::string
 wlName(const testing::TestParamInfo<WlParam> &info)
